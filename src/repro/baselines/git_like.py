@@ -67,7 +67,7 @@ class GitLikeRepository(BaselineVCS):
                 path.parent.mkdir(parents=True, exist_ok=True)
                 payload = zlib.compress(contents, 6)
                 path.write_bytes(payload)
-                self.stats.record_write(len(payload))
+                self.stats.add(chunks_written=1, bytes_written=len(payload))
         return revision
 
     def read(self, name: str, revision: int) -> bytes:
@@ -121,7 +121,8 @@ class GitLikeRepository(BaselineVCS):
                         best_base = base_id
                 offset = pack.tell()
                 pack.write(best_payload)
-                self.stats.record_write(len(best_payload))
+                self.stats.add(chunks_written=1,
+                               bytes_written=len(best_payload))
                 index[object_id] = {
                     "offset": offset,
                     "length": len(best_payload),
@@ -150,7 +151,7 @@ class GitLikeRepository(BaselineVCS):
             with open(self.root / "objects.pack", "rb") as pack:
                 pack.seek(entry["offset"])
                 payload = pack.read(entry["length"])
-            self.stats.record_read(len(payload))
+            self.stats.add(chunks_read=1, bytes_read=len(payload))
             raw = zlib.decompress(payload)
             if entry["base"] is None:
                 return raw
@@ -159,5 +160,5 @@ class GitLikeRepository(BaselineVCS):
         if not path.exists():
             raise StorageError(f"missing object {object_id}")
         payload = path.read_bytes()
-        self.stats.record_read(len(payload))
+        self.stats.add(chunks_read=1, bytes_read=len(payload))
         return zlib.decompress(payload)

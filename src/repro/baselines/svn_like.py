@@ -67,7 +67,7 @@ class SvnLikeRepository(BaselineVCS):
                 else:
                     payload = b"D" + delta
             path.write_bytes(payload)
-            self.stats.record_write(len(payload))
+            self.stats.add(chunks_written=1, bytes_written=len(payload))
         return revision
 
     def read(self, name: str, revision: int) -> bytes:
@@ -109,5 +109,5 @@ class SvnLikeRepository(BaselineVCS):
                 payload = pack.read(length)
         else:
             payload = self._rev_path(name, revision).read_bytes()
-        self.stats.record_read(len(payload))
+        self.stats.add(chunks_read=1, bytes_read=len(payload))
         return payload

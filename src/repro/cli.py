@@ -18,10 +18,7 @@ as a tree; ``sql`` executes one AQL statement; ``ingest`` appends one
 version per ``.npy`` file (creating the array from the first file's
 shape and dtype when absent) and reports throughput — ``--workers``
 sets the encode *and* decode parallelism, so ingest fans chunk encoding
-across the thread pool.  ``--fuse {0,1}`` selects the fused
-delta-chain decode (default on): deep-chain reads fold every
-composable delta level into one accumulator and apply it to the
-materialized root once, byte-identical to the stepwise path.
+across the thread pool.
 """
 
 from __future__ import annotations
@@ -205,17 +202,6 @@ def _workers_count(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _fuse_flag(text: str) -> bool:
-    """argparse type for ``--fuse``: accepts exactly the values
-    ``REPRO_FUSE`` accepts (see
-    :func:`repro.storage.pipeline.resolve_fuse`), so the flag and the
-    env knob can never drift."""
-    if text not in ("0", "1"):
-        raise argparse.ArgumentTypeError(
-            f"fuse must be 0 or 1, got {text!r}")
-    return text == "1"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -240,15 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                              " degree, applied to reads and to ingest"
                              " (default: the REPRO_WORKERS environment"
                              " variable, else serial)")
-    parser.add_argument("--fuse", type=_fuse_flag, default=None,
-                        metavar="{0,1}",
-                        help="fused delta-chain decode: fold a chain"
-                             " of composable deltas into one"
-                             " accumulator and apply it to the root"
-                             " once, instead of one apply per level"
-                             " (default: the REPRO_FUSE environment"
-                             " variable, else on; results are"
-                             " byte-identical either way)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("list").set_defaults(func=_cmd_list)
@@ -288,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     with Database(args.root, backend=args.backend,
-                  workers=args.workers, fuse_chains=args.fuse) as db:
+                  workers=args.workers) as db:
         return args.func(db, args)
 
 

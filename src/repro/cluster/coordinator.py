@@ -74,7 +74,7 @@ from repro.core.schema import ArraySchema, Attribute, Dimension
 from repro.storage.backend import StorageBackend
 from repro.storage.iostats import IOStats
 from repro.storage.manager import VersionedStorageManager
-from repro.storage.pipeline import resolve_fuse, resolve_workers
+from repro.storage.pipeline import resolve_workers
 
 #: How many times a compensating undo (delete of a landed version or
 #: array) is retried before the rollback gives up on that replica.
@@ -174,17 +174,11 @@ class ClusterCoordinator:
     for the replication counters: ``failovers``, ``replica_writes``,
     and ``migrated_chunks``.  Per-node byte counters stay on each
     manager (:meth:`node_stats`).
-
-    ``fuse_chains`` threads the fused delta-chain decode knob to every
-    node manager (and to the fresh generation a rebalance builds), so
-    deep-chain reads on every replica fold their composable delta
-    levels into one apply; results are byte-identical either way.
     """
 
     def __init__(self, root: str | Path, nodes: int = 4, *,
                  replication: int = 1, partition_axis: int = 0,
                  backend=None, workers: int | None = None,
-                 fuse_chains: bool | None = None,
                  **manager_kwargs):
         if nodes < 1:
             raise StorageError("a cluster needs at least one node")
@@ -199,7 +193,6 @@ class ClusterCoordinator:
                 "a cluster needs one backend per node; pass a backend"
                 " name or factory, not a shared instance")
         self.workers = resolve_workers(workers)
-        self.fuse_chains = resolve_fuse(fuse_chains)
         self.root = Path(root)
         self.replication = replication
         self.partition_axis = partition_axis
@@ -228,7 +221,6 @@ class ClusterCoordinator:
                         self._node_root(node, replica),
                         backend=backend,
                         workers=self.workers,
-                        fuse_chains=self.fuse_chains,
                         **manager_kwargs))
         except BaseException:
             # A half-built cluster must not leak the managers (and
@@ -382,7 +374,7 @@ class ClusterCoordinator:
                 return target == \
                     self._registry_digest(self.replicas[node][peer])
             except ReproError:
-                self.stats.record_failover()
+                self.stats.add(failovers=1)
         return True
 
     def dead_replicas(self) -> list[tuple[int, int]]:
@@ -504,7 +496,7 @@ class ClusterCoordinator:
                     return op(self.replicas[node][peer])
                 except ReproError as exc:
                     last_error = exc
-                    self.stats.record_failover()
+                    self.stats.add(failovers=1)
             raise StorageError(
                 f"no live peer replica of node {node} could serve a "
                 f"repair read") from last_error
@@ -562,7 +554,8 @@ class ClusterCoordinator:
                 f"converge: logical digest still differs from its "
                 f"live peers'")
         if replayed:
-            self.stats.record_repair(replayed, replayed_bytes)
+            self.stats.add(repairs=1, repaired_versions=replayed,
+                           repair_bytes=replayed_bytes)
         return {"versions": replayed, "bytes": replayed_bytes}
 
     def replace_replica(self, node: int, replica: int = 0
@@ -584,7 +577,7 @@ class ClusterCoordinator:
             shutil.rmtree(root)
         fresh = VersionedStorageManager(
             root, backend=self._backend_spec, workers=self.workers,
-            fuse_chains=self.fuse_chains, **self._manager_kwargs)
+            **self._manager_kwargs)
         self.replicas[node][replica] = fresh
         self._dead.add((node, replica))
         return fresh
@@ -763,8 +756,8 @@ class ClusterCoordinator:
                             self.replicas[node][replica].delete_version,
                             name, version, reclaim=False)
                 raise error
-            self.stats.record_replica_writes(
-                self.nodes * (self.replication - 1))
+            self.stats.add(
+                replica_writes=self.nodes * (self.replication - 1))
             return results[0]
 
     def _replay_locals(self, name: str,
@@ -803,8 +796,8 @@ class ClusterCoordinator:
                             self.replicas[node][replica].delete_version,
                             name, landed, reclaim=False)
                 raise error
-            self.stats.record_replica_writes(
-                self.nodes * (self.replication - 1))
+            self.stats.add(
+                replica_writes=self.nodes * (self.replication - 1))
             return results[0]
 
     def branch(self, source_name: str, source_version: int,
@@ -896,8 +889,8 @@ class ClusterCoordinator:
                         self.replicas[node][replica].delete_array,
                         new_name)
             raise error
-        self.stats.record_replica_writes(
-            self.nodes * (self.replication - 1) * versions_created)
+        self.stats.add(replica_writes=self.nodes * (self.replication - 1)
+                       * versions_created)
 
     def _compensate(self, undo, *args, **kwargs) -> bool:
         """Run one compensating undo, retrying a few times.
@@ -980,13 +973,13 @@ class ClusterCoordinator:
         last_error = None
         for replica in range(self.replication):
             if (node, replica) in self._dead:
-                self.stats.record_failover()
+                self.stats.add(failovers=1)
                 continue
             try:
                 return op(gen.replicas[node][replica])
             except ReproError as exc:
                 last_error = exc
-                self.stats.record_failover()
+                self.stats.add(failovers=1)
         raise StorageError(
             f"no live replica of node {node} could serve the read "
             f"(replication={self.replication})") from last_error
@@ -1131,7 +1124,6 @@ class ClusterCoordinator:
                 replication=self.replication,
                 partition_axis=self.partition_axis,
                 backend=self._backend_spec, workers=self.workers,
-                fuse_chains=self.fuse_chains,
                 **self._manager_kwargs)
         except BaseException:
             # A half-built generation (its constructor closed the
@@ -1192,7 +1184,7 @@ class ClusterCoordinator:
             # generations get their own base directory, removed once
             # its node roots are gone.
             shutil.rmtree(old_base)
-        self.stats.record_migrated_chunks(migrated)
+        self.stats.add(migrated_chunks=migrated)
         return migrated
 
     def _sync_generation(self, fresh: "ClusterCoordinator",

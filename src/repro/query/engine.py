@@ -36,8 +36,7 @@ class Database:
                  backend: str | None = None,
                  cache_chunks: int = 0,
                  cache_bytes: int = 0,
-                 workers: int | None = None,
-                 fuse_chains: bool | None = None):
+                 workers: int | None = None):
         self.manager = VersionedStorageManager(
             root,
             chunk_bytes=chunk_bytes,
@@ -48,8 +47,7 @@ class Database:
             backend=backend,
             cache_chunks=cache_chunks,
             cache_bytes=cache_bytes,
-            workers=workers,
-            fuse_chains=fuse_chains)
+            workers=workers)
         self.processor = QueryProcessor(self.manager)
         self.executor = AQLExecutor(self.manager, base_path=Path(root))
 

@@ -805,7 +805,8 @@ class ObjectStoreBackend(StorageBackend):
         if self.stats is not None:
             fetched = sum(length for _, length in gets)
             wanted = _union_bytes(spans)
-            self.stats.record_ranged_gets(len(gets), fetched - wanted)
+            self.stats.add(ranged_gets=len(gets),
+                           bytes_over_fetched=fetched - wanted)
         return results
 
     def _plan_gets(self, spans: Sequence[tuple[int, int]],

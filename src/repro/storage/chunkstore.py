@@ -117,8 +117,8 @@ class ChunkStore:
         else:
             offset = self.backend.append(path, payload)
             location = ChunkLocation(path, offset, len(payload))
-        self.stats.record_write(len(payload))
-        self.stats.record_open()
+        self.stats.add(chunks_written=1, bytes_written=len(payload),
+                       file_opens=1)
         return location
 
     def sync_chunks(self, locations: list[ChunkLocation],
@@ -154,8 +154,8 @@ class ChunkStore:
         """Read one payload back by location."""
         payload = self.backend.read(location.path, location.offset,
                                     location.length)
-        self.stats.record_read(len(payload))
-        self.stats.record_open()
+        self.stats.add(chunks_read=1, bytes_read=len(payload),
+                       file_opens=1)
         return payload
 
     def read_chunks(self, locations: list[ChunkLocation]) -> list[bytes]:
@@ -188,13 +188,13 @@ class ChunkStore:
                       span_workers: int) -> None:
             spans = [(locations[i].offset, locations[i].length)
                      for i in indexes]
-            self.stats.record_open()
-            for i, payload in zip(indexes,
-                                  self.backend.read_many(
-                                      path, spans,
-                                      max_workers=span_workers)):
-                self.stats.record_read(len(payload))
+            self.stats.add(file_opens=1)
+            batch = self.backend.read_many(path, spans,
+                                           max_workers=span_workers)
+            for i, payload in zip(indexes, batch):
                 payloads[i] = payload
+            self.stats.add(chunks_read=len(batch),
+                           bytes_read=sum(map(len, batch)))
 
         if self.backend.high_latency and self.max_workers > 1 and \
                 len(by_path) > 1:
@@ -338,9 +338,10 @@ class ChunkStore:
                 blob += payload
                 new_locations[key] = ChunkLocation(target, offset,
                                                    len(payload))
-                self.stats.record_write(len(payload))
+            self.stats.add(chunks_written=len(survivors),
+                           bytes_written=len(blob))
             self.backend.write(target, bytes(blob))
-            self.stats.record_open()
+            self.stats.add(file_opens=1)
             new_paths.append(target)
         self.backend.sync(new_paths, max_workers=self.max_workers)
         return new_locations

@@ -25,31 +25,30 @@ for lands in ``bytes_over_fetched`` — so the request-batching
 trade-off (fewer round trips, more bytes) is visible in the same
 report as the chunk- and handle-level counters it trades against.
 
-The counters are lock-protected: parallel chain reads (the decode
-pipeline's per-chunk fan-out) and parallel chunk encodes (the encode
-pipeline's write-side fan-out) hammer one shared instance from many
-threads, and benchmark invariants like "file opens stay constant in
-chain depth" or "one encode task per chunk" only hold if no increment
-is ever lost.  The write side is covered by four counters:
-``encode_tasks`` (delta+compress units executed by the encode stage),
-``chunks_written`` and ``bytes_written`` (placements that follow), and
-``concurrent_placements`` (placements dispatched through the commit
-stage's concurrent fan instead of the serial loop).
+Every counter moves through one lock-protected :meth:`IOStats.add`:
+parallel chain reads (the decode pipeline's per-chunk fan-out) and
+parallel chunk encodes (the encode pipeline's write-side fan-out) hammer
+one shared instance from many threads, and benchmark invariants like
+"file opens stay constant in chain depth" or "one encode task per chunk"
+only hold if no increment is ever lost.  The write side is covered by
+four counters: ``encode_tasks`` (delta+compress units executed by the
+encode stage), ``chunks_written`` and ``bytes_written`` (placements that
+follow), and ``concurrent_placements`` (placements dispatched through
+the commit stage's concurrent fan instead of the serial loop).
 
 The single-pass encode planner adds three more write-side counters:
-``encode_plans`` (chunk encodes that went through
-:func:`~repro.delta.auto.plan_encoding` instead of the exhaustive
-two-pass :func:`~repro.delta.auto.choose_encoding`),
-``codec_encodes_avoided`` (representations the planner sized exactly
-from the shared code plan but never encoded — losing delta candidates,
-plus the materialized payload whenever the cost model proves a delta
-wins under the identity compressor), and ``planner_bytes_saved`` (the
-total size of those never-produced payloads).  ``encode_rebases``
-counts chunk encodes planned by delta-of-delta re-base — the insert
-diffed against (root, accumulator) chain state instead of a
-reconstructed parent canvas.  The planner's and re-base's shared
-contract is that they change no stored byte, so these counters are the
-only place their work is visible outside wall-clock time.
+``encode_plans`` (chunk encodes planned by
+:func:`~repro.delta.auto.plan_encoding`), ``codec_encodes_avoided``
+(representations the planner sized exactly from the shared code plan but
+never encoded — losing delta candidates, plus the materialized payload
+whenever the cost model proves a delta wins under the identity
+compressor), and ``planner_bytes_saved`` (the total size of those
+never-produced payloads).  ``encode_rebases`` counts chunk encodes
+planned by delta-of-delta re-base — the insert diffed against (root,
+accumulator) chain state instead of a reconstructed parent canvas.  The
+planner's and re-base's shared contract is that they change no stored
+byte, so these counters are the only place their work is visible outside
+wall-clock time.
 
 The fused read path is covered by three counters: ``chains_fused``
 (chunk reconstructions that folded their whole delta chain into one
@@ -122,129 +121,20 @@ class IOStats:
         # iterate ``fields``) keep seeing counters only.
         self._lock = threading.Lock()
 
-    def record_read(self, nbytes: int) -> None:
-        """Account one chunk read of ``nbytes``."""
-        with self._lock:
-            self.bytes_read += nbytes
-            self.chunks_read += 1
+    def add(self, **counts: int) -> None:
+        """Add each ``counter=increment`` to its field under the lock.
 
-    def record_write(self, nbytes: int) -> None:
-        """Account one chunk write of ``nbytes``."""
+        One call is one atomic update, so a group of counters that
+        describe the same event (a chunk read's ``chunks_read`` and
+        ``bytes_read``, a fused chain's ``chains_fused``,
+        ``fused_levels`` and ``scatter_levels``) never shows half
+        applied to a concurrent :meth:`snapshot`.  An unknown name
+        raises ``KeyError`` rather than growing a new counter.
+        """
+        values = self.__dict__
         with self._lock:
-            self.bytes_written += nbytes
-            self.chunks_written += 1
-
-    def record_encode_task(self) -> None:
-        """Account one chunk encode task (the write pipeline's
-        delta+compress unit of work; ``chunks_written``/``bytes_written``
-        count the placements that follow).  The encode stage's parallel
-        fan-out must report exactly one task per chunk regardless of the
-        workers degree, so the counter shares the lock discipline of the
-        read-side counters."""
-        with self._lock:
-            self.encode_tasks += 1
-
-    def record_encode_plan(self, encodes_avoided: int,
-                           bytes_saved: int) -> None:
-        """Account one chunk encode served by the single-pass planner:
-        ``encodes_avoided`` representations were sized exactly from the
-        shared code plan but never encoded, and ``bytes_saved`` is the
-        total size of those never-produced payloads.  The planner runs
-        inside the encode stage's parallel fan-out, so the counter
-        shares the lock discipline of ``encode_tasks``."""
-        with self._lock:
-            self.encode_plans += 1
-            self.codec_encodes_avoided += encodes_avoided
-            self.planner_bytes_saved += bytes_saved
-
-    def record_encode_rebase(self, chunks: int) -> None:
-        """Account one insert whose base came from delta-of-delta
-        re-base: ``chunks`` chunk encodes were planned directly from
-        (root, accumulator) chain state instead of a reconstructed
-        parent canvas.  The re-base contract is that it changes no
-        stored byte, so — like the planner's counters — this is the
-        only place its work is visible outside wall-clock time."""
-        with self._lock:
-            self.encode_rebases += chunks
-
-    def record_concurrent_placement(self) -> None:
-        """Account one chunk placement dispatched through the commit
-        stage's concurrent fan (rather than the serial loop).  The
-        counter makes the fan observable — a bench cell claiming
-        parallel commit must show it nonzero, and the chaos suite's
-        fault-injecting backend must show it zero."""
-        with self._lock:
-            self.concurrent_placements += 1
-
-    def record_open(self, count: int = 1) -> None:
-        """Account ``count`` logical object opens (distinct objects
-        accessed; parallel span shards of one object count once)."""
-        with self._lock:
-            self.file_opens += count
-
-    def record_ranged_gets(self, count: int, over_fetched: int) -> None:
-        """Account ``count`` ranged-GET requests that together fetched
-        ``over_fetched`` bytes beyond the spans actually asked for (the
-        request-size floor and span coalescing trade bytes for round
-        trips; both sides of that trade are recorded)."""
-        with self._lock:
-            self.ranged_gets += count
-            self.bytes_over_fetched += over_fetched
-
-    def record_chain_fused(self, levels: int, scatter_levels: int) -> None:
-        """Account one chunk reconstruction served by the fused read
-        path: ``levels`` delta levels folded into one accumulator and
-        applied to the root in a single pass (instead of ``levels``
-        full-array applies), of which ``scatter_levels`` composed at
-        O(nnz) via sparse/hybrid scatter instead of a dense pass.  The
-        equivalence oracle asserts the counter is zero whenever the
-        stepwise path must run (prefetch admission, non-composable
-        codecs, fusion off)."""
-        with self._lock:
-            self.chains_fused += 1
-            self.fused_levels += levels
-            self.scatter_levels += scatter_levels
-
-    def record_cache_hit(self) -> None:
-        """Account one chunk-cache hit (a read the cache absorbed)."""
-        with self._lock:
-            self.cache_hits += 1
-
-    def record_failover(self) -> None:
-        """Account one read failover: a replica that was marked dead or
-        raised was abandoned and the next replica in line was tried."""
-        with self._lock:
-            self.failovers += 1
-
-    def record_replica_writes(self, count: int) -> None:
-        """Account ``count`` redundant version copies landed on
-        non-primary replicas (one per (version, band, replica>0) that a
-        successful cluster write fanned to)."""
-        with self._lock:
-            self.replica_writes += count
-
-    def record_migrated_chunks(self, count: int) -> None:
-        """Account ``count`` chunk placements performed while resharding
-        the cluster onto a new node count (``rebalance``)."""
-        with self._lock:
-            self.migrated_chunks += count
-
-    def record_repair(self, versions: int, nbytes: int) -> None:
-        """Account one anti-entropy repair pass that replayed
-        ``versions`` versions carrying ``nbytes`` logical payload bytes
-        onto a stale or empty replica.  Repair under fault injection
-        retries until the digests converge, so increments accumulate
-        across attempts; only passes that resynced at least one version
-        are recorded."""
-        with self._lock:
-            self.repairs += 1
-            self.repaired_versions += versions
-            self.repair_bytes += nbytes
-
-    def record_cache_miss(self) -> None:
-        """Account one chunk-cache miss."""
-        with self._lock:
-            self.cache_misses += 1
+            for name, count in counts.items():
+                values[name] += count
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -271,7 +161,7 @@ class IOStats:
 
         >>> stats = IOStats()
         >>> with stats.measure() as window:
-        ...     stats.record_read(100)
+        ...     stats.add(chunks_read=1, bytes_read=100)
         >>> window.bytes_read
         100
         """

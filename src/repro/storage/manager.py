@@ -54,8 +54,6 @@ from repro.storage.pipeline import (
     EncodePipeline,
     ensure_policy,
     overlap_slices as _overlap_slices,
-    resolve_fuse,
-    resolve_planner,
     resolve_workers,
 )
 
@@ -81,15 +79,11 @@ class VersionedStorageManager:
                  cache_bytes: int = 0,
                  backend: "StorageBackend | str | None" = None,
                  workers: int | None = None,
-                 prefetch: bool = True,
-                 fuse_chains: bool | None = None,
-                 planner: bool | None = None):
+                 prefetch: bool = True):
         # Validate configuration before creating any durable state
         # (directories, catalog files, backend objects).
         ensure_policy(delta_policy)
         self.workers = resolve_workers(workers)
-        self.fuse_chains = resolve_fuse(fuse_chains)
-        self.planner = resolve_planner(planner)
         self.root = Path(root)
         backend = resolve_backend(backend, self.root / "data")
         if not backend.ephemeral:
@@ -117,13 +111,11 @@ class VersionedStorageManager:
                                       delta_policy=delta_policy,
                                       delta_codec=delta_codec,
                                       cache=self.cache,
-                                      workers=self.workers,
-                                      planner=self.planner)
+                                      workers=self.workers)
         self.decoder = DecodePipeline(self.catalog, self.store,
                                       cache=self.cache,
                                       workers=self.workers,
-                                      prefetch=prefetch,
-                                      fuse_chains=self.fuse_chains)
+                                      prefetch=prefetch)
         # Write-side hot-version slot: the last version this manager
         # wrote, kept so a chain-policy insert deltas against the data
         # it was just handed instead of re-reconstructing the parent
@@ -132,6 +124,14 @@ class VersionedStorageManager:
         # never change once written; deletion invalidates the slot
         # since a deleted head's number can be reused.
         self._hot_version: tuple[str, int, ArrayData] | None = None
+
+    # Read by the benchmark's run record (perfbench/run.py).
+    planner = True
+
+    @property
+    def fuse_chains(self) -> bool:
+        # Read by the benchmark's run record (perfbench/run.py).
+        return self.decoder.fuse_chains
 
     @property
     def backend(self) -> StorageBackend:
@@ -756,7 +756,7 @@ class VersionedStorageManager:
         """Chain-walk states for every (attribute, chunk) of a base
         version — the delta-of-delta re-base input for inserts whose
         parent canvas is not hot.  Returns None when the fast path is
-        unavailable (planner off, materialize policy, a candidate that
+        unavailable (materialize policy, a candidate that
         needs the base canvas, a non-composable chain level, or a
         cache-enabled pipeline) — the caller falls back to a full
         select."""
@@ -771,7 +771,7 @@ class VersionedStorageManager:
                 if state is None:
                     return None
                 states[(attr.name, chunk.name)] = state
-        self.stats.record_encode_rebase(len(states))
+        self.stats.add(encode_rebases=len(states))
         return states
 
     def _reconstruct_chunk(self, record: ArrayRecord, version: int,

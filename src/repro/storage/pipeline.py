@@ -35,8 +35,9 @@ Two invariants both pipelines are built around:
   ``write_version(rebase_states=...)``), and the compiled kernels in
   :mod:`repro.core.native` — must produce exactly the bytes of the
   plain numpy, level-by-level path.  Store fingerprints may never
-  depend on ``REPRO_NATIVE``, ``REPRO_FUSE``, worker count, or which
-  base-resolution path an insert happened to take.
+  depend on ``REPRO_NATIVE``, worker count, whether a chain decoded
+  fused or stepwise, or which base-resolution path an insert happened
+  to take.
 * **Graceful fallback.**  Each fast path gates itself on dtype,
   layout, codec composability, and configuration (e.g. re-base is
   skipped whenever the chunk cache is enabled, because reconstructing
@@ -63,7 +64,6 @@ from repro.core.errors import NoOverwriteError, StorageError
 from repro.delta.auto import (
     EncodingDecision,
     RebaseState,
-    choose_encoding,
     default_delta_candidates,
     plan_encoding,
 )
@@ -123,50 +123,6 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def resolve_fuse(fuse_chains: bool | None) -> bool:
-    """Resolve the fused-chain-decode knob to a concrete boolean.
-
-    ``None`` defers to the ``REPRO_FUSE`` environment variable (the CI
-    conformance matrix runs the suite down both read paths this way);
-    the default is on — the fused path reads the very same payloads as
-    the stepwise one and reproduces its bytes exactly, it just applies
-    them in one pass.  Like :func:`resolve_workers`, malformed values
-    are rejected loudly before any durable state is created: a
-    misconfigured matrix cell silently testing the wrong path would
-    test nothing.
-    """
-    if fuse_chains is None:
-        raw = os.environ.get("REPRO_FUSE", "1")
-        if raw not in ("0", "1"):
-            raise StorageError(
-                f"REPRO_FUSE must be 0 or 1, got {raw!r}")
-        return raw == "1"
-    return bool(fuse_chains)
-
-
-def resolve_planner(planner: bool | None) -> bool:
-    """Resolve the single-pass encode-planner knob to a concrete boolean.
-
-    ``None`` defers to the ``REPRO_ENCODE_PLANNER`` environment
-    variable (the CI conformance matrix runs the tier-1 storage suite
-    down both write paths this way); the default is on — the planner
-    picks the same winner and produces the same payload bytes as the
-    exhaustive two-pass :func:`~repro.delta.auto.choose_encoding`, it
-    just computes the delta and its width statistics once and encodes
-    only the winner.  Like :func:`resolve_workers`, malformed values
-    are rejected loudly before any durable state is created: a
-    misconfigured matrix cell silently testing the wrong path would
-    test nothing.
-    """
-    if planner is None:
-        raw = os.environ.get("REPRO_ENCODE_PLANNER", "1")
-        if raw not in ("0", "1"):
-            raise StorageError(
-                f"REPRO_ENCODE_PLANNER must be 0 or 1, got {raw!r}")
-        return raw == "1"
-    return bool(planner)
-
-
 class ChunkCache:
     """Bytes-bounded LRU of decoded chunks, keyed by
     ``(array_id, version, attribute, chunk_name)``.
@@ -211,9 +167,9 @@ class ChunkCache:
                 self.hits += 1
         if self.stats is not None:
             if entry is None:
-                self.stats.record_cache_miss()
+                self.stats.add(cache_misses=1)
             else:
-                self.stats.record_cache_hit()
+                self.stats.add(cache_hits=1)
         return entry
 
     def peek(self, key: tuple) -> np.ndarray | None:
@@ -231,7 +187,7 @@ class ChunkCache:
             self._entries.move_to_end(key)
             self.hits += 1
         if self.stats is not None:
-            self.stats.record_cache_hit()
+            self.stats.add(cache_hits=1)
         return entry
 
     def put(self, key: tuple, data: np.ndarray) -> None:
@@ -353,15 +309,13 @@ class EncodePipeline(_PooledStage):
                  delta_policy: str = POLICY_CHAIN,
                  delta_codec: str = "hybrid",
                  cache: ChunkCache | None = None,
-                 workers: int = 0,
-                 planner: bool | None = None):
+                 workers: int = 0):
         ensure_policy(delta_policy)
         self.catalog = catalog
         self.store = store
         self.delta_policy = delta_policy
         self.delta_codec_name = delta_codec
         self.cache = cache if cache is not None else ChunkCache()
-        self.planner = resolve_planner(planner)
         self._init_pool(workers)
 
     @property
@@ -371,26 +325,27 @@ class EncodePipeline(_PooledStage):
         return self.delta_policy != POLICY_MATERIALIZE
 
     @property
+    def delta_candidates(self) -> tuple | None:
+        """The delta codecs an insert picks from: the configured codec
+        under the chain policy, else None (the default set)."""
+        if self.delta_policy == POLICY_CHAIN:
+            return (get_delta_codec(self.delta_codec_name),)
+        return None
+
+    @property
     def can_rebase(self) -> bool:
         """Whether inserts may delta against chain state instead of a
         reconstructed base canvas (delta-of-delta re-base).
 
-        Requires the single-pass planner — the two-pass oracle encodes
-        every candidate from the base canvas — and candidates that size
-        and encode purely from the shared plan (``plan_sufficient``),
-        since a rebased plan carries no base canvas.  The stored bytes
-        are byte-identical either way; only the parent reconstruction
-        disappears.
+        Requires candidates that size and encode purely from the shared
+        plan (``plan_sufficient``), since a rebased plan carries no base
+        canvas.  The stored bytes are byte-identical either way; only
+        the parent reconstruction disappears.
         """
-        if not self.planner:
+        if not self.wants_base:
             return False
-        if self.delta_policy == POLICY_CHAIN:
-            candidates: tuple = (get_delta_codec(self.delta_codec_name),)
-        elif self.delta_policy == POLICY_AUTO:
-            candidates = default_delta_candidates()
-        else:
-            return False
-        return all(codec.plan_sufficient for codec in candidates)
+        return all(codec.plan_sufficient for codec in
+                   self.delta_candidates or default_delta_candidates())
 
     # ------------------------------------------------------------------
     # Stage 1: plan
@@ -416,36 +371,26 @@ class EncodePipeline(_PooledStage):
                      ) -> EncodingDecision:
         """Pick and produce one chunk's representation.
 
-        With the planner on (the default), the decision comes from the
-        single-pass :func:`~repro.delta.auto.plan_encoding` — one delta,
-        one code array, one set of width statistics, one encode — and
-        the representations it sized but never produced are recorded in
-        the store's counters.  With it off (``REPRO_ENCODE_PLANNER=0``)
-        the exhaustive two-pass :func:`~repro.delta.auto.choose_encoding`
-        runs instead.  Both paths pick the same winner and produce the
-        same payload bytes; the conformance matrix holds the knob fixed
-        per cell and asserts the fingerprints match.
+        The decision comes from the single-pass
+        :func:`~repro.delta.auto.plan_encoding` — one delta, one code
+        array, one set of width statistics, one encode — and the
+        representations it sized but never produced are recorded in
+        the store's counters.  The test suite holds it to the winner
+        and payload bytes of an exhaustive two-pass oracle that encodes
+        every candidate.
 
         ``rebase`` supplies the base as chain state instead of a canvas
         (delta-of-delta re-base); callers are gated on
-        :attr:`can_rebase`, which implies the planner is on.
+        :attr:`can_rebase`.
         """
-        if self.delta_policy == POLICY_MATERIALIZE or \
-                (base is None and rebase is None):
-            base = None
-            rebase = None
-            candidates = None
-        elif self.delta_policy == POLICY_CHAIN:
-            candidates = (get_delta_codec(self.delta_codec_name),)
-        else:
-            candidates = None
-        if not self.planner:
-            return choose_encoding(target, base, compressor=compressor,
-                                   candidates=candidates)
+        if not self.wants_base:
+            base = rebase = None
         planned = plan_encoding(target, base, compressor=compressor,
-                                candidates=candidates, rebase=rebase)
-        self.store.stats.record_encode_plan(planned.encodes_avoided,
-                                            planned.bytes_saved)
+                                candidates=self.delta_candidates,
+                                rebase=rebase)
+        self.store.stats.add(encode_plans=1,
+                             codec_encodes_avoided=planned.encodes_avoided,
+                             planner_bytes_saved=planned.bytes_saved)
         return planned.decision
 
     def _encode_task(self, task: EncodeTask, data: ArrayData,
@@ -463,7 +408,7 @@ class EncodePipeline(_PooledStage):
                 base_data.attribute(task.attribute)[task.chunk.slices()])
         decision = self.encode_chunk(target, base, compressor,
                                      rebase=rebase)
-        self.store.stats.record_encode_task()
+        self.store.stats.add(encode_tasks=1)
         return decision
 
     def _encode_tasks(self, tasks: list[EncodeTask], data: ArrayData,
@@ -559,7 +504,7 @@ class EncodePipeline(_PooledStage):
                     task_done, decision_done, future = window.popleft()
                     yield chunk_record(task_done, decision_done,
                                        future.result())
-                self.store.stats.record_concurrent_placement()
+                self.store.stats.add(concurrent_placements=1)
                 window.append((task, decision, pool.submit(
                     self.store.write_chunk, record.name, version,
                     task.attribute, task.chunk.name, decision.parts)))
@@ -658,17 +603,19 @@ class DecodePipeline(_PooledStage):
     makes the prefetch's decode-whole-chain-once policy pay for itself
     there.
 
-    ``fuse_chains`` selects the fused delta-decode: both delta modes
-    compose associatively (ARITHMETIC by wrapping int64 summation, XOR
-    by xor), so a chain of k composable deltas folds into one
-    accumulator — sparse/hybrid levels at O(nnz) by scatter — and is
-    applied to the materialized root in a *single* pass instead of k
-    full-array applies.  The stepwise path remains and is selected
-    whenever intermediates must be admitted to the cache (chain-aware
-    prefetch on) or any level's codec is non-composable (``bsdiff``,
-    ``mpeg_like`` transform the base rather than difference against
-    it).  Either path reads the same payloads and produces the same
-    bytes; only wall-clock and allocations differ.
+    Delta chains decode fused: both delta modes compose associatively
+    (ARITHMETIC by wrapping int64 summation, XOR by xor), so a chain of
+    k composable deltas folds into one accumulator — sparse/hybrid
+    levels at O(nnz) by scatter — and is applied to the materialized
+    root in a *single* pass instead of k full-array applies.  The
+    stepwise path remains and is selected whenever intermediates must
+    be admitted to the cache (chain-aware prefetch on) or any level's
+    codec is non-composable (``bsdiff``, ``mpeg_like`` transform the
+    base rather than difference against it).  Either path reads the
+    same payloads and produces the same bytes; only wall-clock and
+    allocations differ.  :attr:`fuse_chains` is not a setting: tests
+    and the scan bench switch it off in process to get the stepwise
+    oracle for every chain.
     """
 
     _pool_prefix = "repro-decode"
@@ -676,13 +623,12 @@ class DecodePipeline(_PooledStage):
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
                  cache: ChunkCache | None = None,
                  workers: int = 0,
-                 prefetch: bool = True,
-                 fuse_chains: bool = True):
+                 prefetch: bool = True):
         self.catalog = catalog
         self.store = store
         self.cache = cache if cache is not None else ChunkCache()
         self.prefetch = prefetch
-        self.fuse_chains = fuse_chains
+        self.fuse_chains = True
         self._init_pool(workers)
 
     def reconstruct(self, record: ArrayRecord, version: int,
@@ -837,7 +783,8 @@ class DecodePipeline(_PooledStage):
                 scatter_levels += 1
         if batch:
             numeric.scatter_delta_batch(accumulator, batch, mode)
-        self.store.stats.record_chain_fused(len(chain), scatter_levels)
+        self.store.stats.add(chains_fused=1, fused_levels=len(chain),
+                             scatter_levels=scatter_levels)
         if seeded:
             return numeric.finalize_seeded(accumulator, mode, dtype,
                                            shape)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression import LempelZivCodec
-from repro.delta import HybridDeltaCodec, choose_encoding, get_delta_codec
+from repro.delta import HybridDeltaCodec, get_delta_codec
+
+from encode_oracle import choose_encoding
 
 
 class TestChooseEncoding:

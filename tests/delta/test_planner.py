@@ -1,7 +1,7 @@
 """Property suite: the single-pass planner against the two-pass oracle.
 
 :func:`repro.delta.auto.plan_encoding` must be *decision- and
-byte-equivalent* to :func:`repro.delta.auto.choose_encoding` — same
+byte-equivalent* to the two-pass ``choose_encoding`` oracle — same
 winner under the same first-strictly-smaller tie-break, same size, same
 payload bytes — while encoding at most one representation.  The suite
 drives both through randomized dtypes, sparsity profiles, outlier
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.compression import LempelZivCodec
 from repro.core import bitpack, native
-from repro.core.errors import StorageError
 from repro.core.numeric import compute_delta
 from repro.core.schema import ArraySchema
 from repro.delta import (
@@ -28,12 +27,14 @@ from repro.delta import (
     DenseDeltaCodec,
     HybridDeltaCodec,
     SparseDeltaCodec,
-    choose_encoding,
 )
 from repro.delta.auto import CodePlan, plan_encoding
 from repro.delta.codes import delta_to_codes
 from repro.storage import VersionedStorageManager
-from repro.storage.pipeline import resolve_planner
+from repro.storage.pipeline import EncodePipeline
+
+import encode_oracle
+from encode_oracle import choose_encoding
 
 _DTYPES = (np.int64, np.int32, np.uint16, np.int8,
            np.float64, np.float32, np.bool_)
@@ -257,29 +258,10 @@ class TestNativeKernels:
         assert native.delta_zigzag_stats(empty, empty) is None
 
 
-class TestResolvePlanner:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENCODE_PLANNER", raising=False)
-        assert resolve_planner(None) is True
-
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODE_PLANNER", "0")
-        assert resolve_planner(None) is False
-
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODE_PLANNER", "0")
-        assert resolve_planner(True) is True
-
-    def test_malformed_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODE_PLANNER", "maybe")
-        with pytest.raises(StorageError):
-            resolve_planner(None)
-
-
 class TestPipelinePlanner:
     @pytest.mark.parametrize("delta_policy", ["auto", "chain",
                                               "materialize"])
-    def test_on_off_fingerprints_match(self, tmp_path, rng,
+    def test_on_off_fingerprints_match(self, tmp_path, rng, monkeypatch,
                                        delta_policy):
         datas = [rng.integers(0, 1 << 30, (40, 40)).astype(np.int64)]
         for _ in range(3):
@@ -287,10 +269,14 @@ class TestPipelinePlanner:
                          + rng.integers(0, 3, (40, 40)).astype(np.int64))
         prints = {}
         for planner in (True, False):
+            if not planner:
+                # The whole store through the two-pass oracle.
+                monkeypatch.setattr(EncodePipeline, "encode_chunk",
+                                    encode_oracle.encode_chunk)
+                monkeypatch.setattr(EncodePipeline, "can_rebase", False)
             root = tmp_path / f"planner-{planner}"
             manager = VersionedStorageManager(
-                root, chunk_bytes=4000, delta_policy=delta_policy,
-                planner=planner)
+                root, chunk_bytes=4000, delta_policy=delta_policy)
             manager.create_array("a", ArraySchema.simple(
                 datas[0].shape, dtype=datas[0].dtype))
             for data in datas:
@@ -310,8 +296,7 @@ class TestPipelinePlanner:
                                                       rng):
         base = rng.integers(0, 100, (64, 64)).astype(np.int64)
         manager = VersionedStorageManager(
-            tmp_path / "s", chunk_bytes=8192, delta_policy="chain",
-            planner=True)
+            tmp_path / "s", chunk_bytes=8192, delta_policy="chain")
         manager.create_array("a", ArraySchema.simple(
             base.shape, dtype=base.dtype))
         manager.insert("a", base)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.errors import StorageError
@@ -213,10 +216,44 @@ class TestIOStats:
 
     def test_reset_and_delta(self):
         stats = IOStats()
-        stats.record_read(10)
+        stats.add(chunks_read=1, bytes_read=10)
         snap = stats.snapshot()
-        stats.record_read(5)
+        stats.add(chunks_read=1, bytes_read=5)
         delta = stats.delta_since(snap)
         assert delta.bytes_read == 5
         stats.reset()
         assert stats.bytes_read == 0
+
+    def test_add_is_atomic_under_contention(self):
+        """No lost increment, and no snapshot ever sees one ``add``
+        half applied (``bytes_read`` always 3x ``chunks_read``)."""
+        stats = IOStats()
+
+        def write():
+            for _ in range(2000):
+                stats.add(chunks_read=1, bytes_read=3)
+
+        def read():
+            torn = 0
+            for _ in range(2000):
+                snap = stats.snapshot()
+                torn += snap.bytes_read != 3 * snap.chunks_read
+            return torn
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                writers = [pool.submit(write) for _ in range(6)]
+                readers = [pool.submit(read) for _ in range(2)]
+                for future in writers:
+                    future.result(timeout=60)
+                torn = sum(future.result(timeout=60)
+                           for future in readers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert torn == 0
+        assert stats.chunks_read == 12000
+        assert stats.bytes_read == 36000
+        with pytest.raises(KeyError):
+            stats.add(no_such_counter=1)

@@ -1,14 +1,16 @@
 """Fused-vs-stepwise delta-chain read equivalence oracle.
 
 The fused read path (:meth:`DecodePipeline.reconstruct` with
-``fuse_chains``) folds a chain of composable deltas into one
+``fuse_chains`` on, the default) folds a chain of composable deltas into one
 accumulator and applies it to the materialized root in a single pass.
 Its contract is byte-exactness: for every delta policy, both delta
 modes (ARITHMETIC for integers, XOR for floats), every chain depth,
 and adversarial cell values (int64 wraparound, NaN / signed-zero /
 infinity bit patterns), the fused result must equal the stepwise
 result bit for bit — and the store fingerprint must be identical too,
-since the knob is read-only and may never leak into written bytes.
+since the decode path may never leak into written bytes.  The stepwise
+oracle is the same decoder with ``fuse_chains`` switched off in
+process.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ MODES = [("arith", np.int64, _int_versions),
 
 
 def _build(root, versions, dtype, fuse, **kwargs):
-    manager = VersionedStorageManager(root, fuse_chains=fuse, **kwargs)
+    manager = VersionedStorageManager(root, **kwargs)
+    manager.decoder.fuse_chains = fuse
     manager.create_array(
         "A", ArraySchema.simple(SHAPE, dtype, attribute="value"))
     for data in versions:
@@ -222,7 +225,7 @@ def test_prefetch_cache_keeps_stepwise_path(tmp_path):
     versions = _int_versions()
     with VersionedStorageManager(
             tmp_path / "s", delta_policy="chain", delta_codec="sparse",
-            cache_chunks=64, fuse_chains=True) as manager:
+            cache_chunks=64) as manager:
         manager.create_array(
             "A", ArraySchema.simple(SHAPE, np.int64, attribute="value"))
         for data in versions:
@@ -244,8 +247,7 @@ def test_prefetch_off_cache_fuses(tmp_path):
     versions = _int_versions()
     with VersionedStorageManager(
             tmp_path / "s", delta_policy="chain", delta_codec="sparse",
-            cache_chunks=64, prefetch=False,
-            fuse_chains=True) as manager:
+            cache_chunks=64, prefetch=False) as manager:
         manager.create_array(
             "A", ArraySchema.simple(SHAPE, np.int64, attribute="value"))
         for data in versions:
@@ -276,3 +278,22 @@ def test_read_region_single_chunk_returns_view(tmp_path):
         assert np.array_equal(full.attribute("value"),
                               versions[DEPTH - 1])
         assert not full.attribute("value").flags.writeable
+
+
+def test_decode_path_is_not_a_setting(tmp_path):
+    """The fused decode and the planner are the only production paths:
+    no constructor takes a switch for them, and the manager's
+    ``fuse_chains`` only reports the decoder's in-process attribute."""
+    from repro.cluster.coordinator import ClusterCoordinator
+    from repro.query.engine import Database
+
+    for kwarg in ("fuse_chains", "planner"):
+        for make in (VersionedStorageManager, Database,
+                     ClusterCoordinator):
+            with pytest.raises(TypeError):
+                make(tmp_path / f"{make.__name__}-{kwarg}",
+                     **{kwarg: False})
+    with VersionedStorageManager(tmp_path / "s") as manager:
+        assert manager.fuse_chains and manager.planner
+        manager.decoder.fuse_chains = False
+        assert not manager.fuse_chains

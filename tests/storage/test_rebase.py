@@ -7,9 +7,9 @@ a full parent select — must all produce the *same stored bytes*: the
 same codes, the same winning codec, the same fingerprint.  These tests
 drive all three paths over the same version sequences across every
 delta mode's dtype family and assert fingerprint identity, plus the
-gating contract: re-base only runs when the planner is on and the
-chunk cache is off, and the ``encode_rebases`` counter records exactly
-the chunks that took the fused path.
+gating contract: re-base only runs when the chunk cache is off, and the
+``encode_rebases`` counter records exactly the chunks that took the
+fused path.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.schema import ArraySchema
 from repro.storage import VersionedStorageManager
+from repro.storage.pipeline import EncodePipeline
 
 DTYPES = [np.int64, np.int32, np.int16, np.uint8, np.uint64,
           np.bool_, np.float64, np.float32]
@@ -70,20 +71,23 @@ def _build(root, versions, *, reopen=False, **kwargs):
 class TestRebaseByteIdentity:
     @pytest.mark.parametrize("dtype", DTYPES,
                              ids=[np.dtype(d).name for d in DTYPES])
-    def test_three_paths_one_fingerprint(self, tmp_path, dtype):
+    def test_three_paths_one_fingerprint(self, tmp_path, monkeypatch,
+                                         dtype):
         versions = _versions(dtype)
         prints = {}
         managers = {}
         managers["hot"] = _build(tmp_path / "hot", versions)
         managers["rebase"] = _build(tmp_path / "rebase", versions,
                                     reopen=True)
-        managers["select"] = _build(tmp_path / "select", versions,
-                                    reopen=True, planner=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(EncodePipeline, "can_rebase", False)
+            managers["select"] = _build(tmp_path / "select", versions,
+                                        reopen=True)
         for name, manager in managers.items():
             prints[name] = manager.fingerprint("a")
         assert prints["hot"] == prints["rebase"] == prints["select"]
         # The re-opened store actually took the re-base path on its
-        # final (cold-slot) insert; planner-off never does.
+        # final (cold-slot) insert; with re-base off it never does.
         assert managers["rebase"].stats.encode_rebases > 0
         assert managers["select"].stats.encode_rebases == 0
         # ...and every path returns the exact version contents.
@@ -145,14 +149,3 @@ class TestRebaseGating:
         assert plain.fingerprint("a") == cached.fingerprint("a")
         plain.close()
         cached.close()
-
-    def test_planner_off_disables_rebase(self, tmp_path):
-        versions = _versions(np.int64, depth=3, shape=(16, 16))
-        kwargs = dict(chunk_bytes=1 << 20, delta_policy="chain",
-                      planner=False)
-        manager = _build(tmp_path / "s", versions[:1], **kwargs)
-        manager.close()
-        manager = VersionedStorageManager(tmp_path / "s", **kwargs)
-        manager.insert("a", versions[1])
-        assert manager.stats.encode_rebases == 0
-        manager.close()
